@@ -1,30 +1,39 @@
-"""Telemetry overhead on the enumerator library sweep.
+"""Telemetry overhead on the enumerator sweep and the engine passes.
 
 The acceptance criterion for the observability PR: instrumented code
 with telemetry *disabled* (the ambient NULL context, the default for
 every caller that never opts in) must cost at most 5% over the same
-sweep with the instrumentation short-circuited.  The disabled path is
-one module-global read plus an ``enabled`` check per
-``enumerate_executions`` call — everything else happens only under a
-live :class:`repro.obs.Telemetry`.
+work with the instrumentation short-circuited.  Two layers are
+pinned:
 
+* the enumerator over the generated suite, whose disabled path is one
+  module-global read plus an ``enabled`` check per
+  ``enumerate_executions`` call;
+* the functional engine's runner passes over the library (the default
+  §6.3 config: 20 seeds, injected and clean), whose disabled path is
+  the same read per ``run_test`` pass.
+
+Everything else happens only under a live :class:`repro.obs.Telemetry`.
 The enabled-telemetry cost (spans + counters into a buffering sink)
-is also measured and recorded, with a loose sanity bound: the
-instrumentation publishes once per enumeration, never per search
-node, so even live telemetry must stay cheap.
+is also measured and recorded, with a loose sanity bound: both hooks
+publish once per call, never per search node or scheduler step, so
+even live telemetry must stay cheap.
 
-Set ``REPRO_BENCH_RECORD=1`` to append the measurement to
+Set ``REPRO_BENCH_RECORD=1`` to append the measurements to
 ``BENCH_obs.json`` (the cross-PR trajectory).
 """
 
 import gc
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from conftest import run_once
 
 from repro import obs
+from repro.litmus import RunConfig, all_library_tests
+from repro.litmus import runner as RUN
 from repro.litmus.generator import generate_all
 from repro.memmodel import MODELS
 from repro.memmodel import enumerator as EN
@@ -32,6 +41,8 @@ from repro.memmodel import enumerator as EN
 MODEL_SET = [MODELS[name] for name in ("SC", "PC", "WC", "RVWMO")]
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 ROUNDS = 7
+#: The §6.3 default: faults injected, plus a clean pass.
+PASSES = (RunConfig(), replace(RunConfig(), inject_faults=False))
 
 #: Measured-noise headroom on top of the 5% criterion is deliberately
 #: NOT added: the disabled path is so far under the bound that the
@@ -56,20 +67,31 @@ def _sweep(pairs):
     return time.perf_counter() - started
 
 
-class _stripped_instrumentation:
-    """Short-circuit the enumerator's telemetry hook entirely — the
-    closest reproducible stand-in for pre-PR code."""
+def _runner_sweep(tests):
+    started = time.perf_counter()
+    for test in tests:
+        for config in PASSES:
+            RUN.run_test(test, config)
+    return time.perf_counter() - started
+
+
+class _stripped:
+    """Short-circuit one telemetry hook entirely — the closest
+    reproducible stand-in for pre-instrumentation code."""
+
+    def __init__(self, module, hook):
+        self._module, self._name = module, hook
 
     def __enter__(self):
-        self._publish = EN._publish_stats
-        EN._publish_stats = lambda *args: None
+        self._hook = getattr(self._module, self._name)
+        setattr(self._module, self._name, lambda *args: None)
 
     def __exit__(self, *exc):
-        EN._publish_stats = self._publish
+        setattr(self._module, self._name, self._hook)
         return False
 
 
-def _measure(pairs, rounds=ROUNDS):
+def _measure(sweep, work, strip, rounds=ROUNDS):
     """Paired-ratio timing: each round times the three configurations
     back to back and contributes one ratio per comparison, then the
     median ratio across rounds is reported.  Pairing cancels the slow
@@ -77,18 +99,18 @@ def _measure(pairs, rounds=ROUNDS):
     a sweep this short; the median discards the rounds a scheduler
     hiccup still poisons."""
     rows = []
-    _sweep(pairs)  # warmup: imports, bytecode, allocator
+    sweep(work)  # warmup: imports, bytecode, allocator
     for _ in range(rounds):
         gc.collect()  # don't bill one config's garbage to the next
-        with _stripped_instrumentation():
-            stripped = _sweep(pairs)
+        with strip:
+            stripped = sweep(work)
         assert obs.current() is obs.NULL
         gc.collect()
-        disabled = _sweep(pairs)
+        disabled = sweep(work)
         tel = obs.Telemetry(sinks=[obs.MemorySink()])
         gc.collect()
         with obs.use(tel):
-            enabled = _sweep(pairs)
+            enabled = sweep(work)
         rows.append((stripped, disabled, enabled))
 
     def median(values):
@@ -114,41 +136,55 @@ def _record(entry):
     append_entry(TRAJECTORY, entry)
 
 
-def test_disabled_telemetry_overhead(benchmark):
-    """Acceptance: disabled-telemetry overhead ≤ 5% on the sweep."""
-    pairs = _pairs()
-    timings = run_once(benchmark, _measure, pairs)
+def _check_overhead(benchmark, layer, sweep, work, strip, entry):
+    """Measure, record and assert the overhead bounds for one layer."""
+    timings = run_once(benchmark, _measure, sweep, work, strip)
     for _attempt in range(MEASURE_ATTEMPTS - 1):
         if (timings["disabled_ratio"] <= DISABLED_OVERHEAD_LIMIT
                 and timings["enabled_ratio"] <= ENABLED_OVERHEAD_LIMIT):
             break
-        timings = _measure(pairs)
-    stripped_s = timings["stripped"]
-    disabled_s = timings["disabled"]
-    enabled_s = timings["enabled"]
+        timings = _measure(sweep, work, strip)
     disabled_ratio = timings["disabled_ratio"]
     enabled_ratio = timings["enabled_ratio"]
-    entry = {
-        "bench": "obs-overhead-library-sweep",
-        "tests": len(pairs),
-        "models": [m.name for m in MODEL_SET],
-        "stripped_s": round(stripped_s, 4),
-        "disabled_s": round(disabled_s, 4),
-        "enabled_s": round(enabled_s, 4),
+    entry.update({
+        "stripped_s": round(timings["stripped"], 4),
+        "disabled_s": round(timings["disabled"], 4),
+        "enabled_s": round(timings["enabled"], 4),
         "disabled_overhead": round(disabled_ratio, 4),
         "enabled_overhead": round(enabled_ratio, 4),
-    }
+    })
     benchmark.extra_info.update(entry)
     _record(entry)
-    print(f"\nstripped={stripped_s:.3f}s disabled={disabled_s:.3f}s "
-          f"({disabled_ratio:.3f}x) enabled={enabled_s:.3f}s "
-          f"({enabled_ratio:.3f}x) over {len(pairs)} tests x 4 models")
+    print(f"\n{layer}: stripped={entry['stripped_s']:.3f}s "
+          f"disabled={entry['disabled_s']:.3f}s ({disabled_ratio:.3f}x) "
+          f"enabled={entry['enabled_s']:.3f}s ({enabled_ratio:.3f}x)")
     assert disabled_ratio <= DISABLED_OVERHEAD_LIMIT, (
         f"disabled telemetry costs {(disabled_ratio - 1) * 100:.1f}% "
-        f"on the enumerator sweep (criterion: <= 5%)")
+        f"on the {layer} (criterion: <= 5%)")
     assert enabled_ratio <= ENABLED_OVERHEAD_LIMIT, (
         f"live telemetry costs {(enabled_ratio - 1) * 100:.1f}% "
-        f"on the enumerator sweep (sanity bound: <= 50%)")
+        f"on the {layer} (sanity bound: <= 50%)")
+
+
+def test_disabled_telemetry_overhead(benchmark):
+    """Acceptance: disabled-telemetry overhead ≤ 5% on the sweep."""
+    pairs = _pairs()
+    _check_overhead(benchmark, "enumerator sweep", _sweep, pairs,
+                    _stripped(EN, "_publish_stats"),
+                    {"bench": "obs-overhead-library-sweep",
+                     "tests": len(pairs),
+                     "models": [m.name for m in MODEL_SET]})
+
+
+def test_disabled_telemetry_overhead_runner(benchmark):
+    """Acceptance: disabled-telemetry overhead ≤ 5% on the engine's
+    runner passes over the library."""
+    tests = all_library_tests()
+    _check_overhead(benchmark, "runner passes", _runner_sweep, tests,
+                    _stripped(RUN, "_publish_pass"),
+                    {"bench": "obs-overhead-runner-passes",
+                     "tests": len(tests), "passes": len(PASSES),
+                     "seeds": PASSES[0].seeds})
 
 
 def test_enabled_sweep_produces_complete_metrics():

@@ -110,6 +110,14 @@ def _cmd_litmus(args: argparse.Namespace) -> int:
     if len(sources) > 1:
         raise SystemExit(f"litmus: {' and '.join(sources)} are "
                          f"mutually exclusive test sources")
+    # Outputs are written after the campaign: reject an unwritable
+    # destination before spending the campaign on it.
+    for flag, path in (("--json", args.json),
+                       ("--save-log", args.save_log
+                        and f"{args.save_log}.hw.json")):
+        if path and not Path(path).parent.is_dir():
+            raise SystemExit(f"litmus: {flag} {path}: directory "
+                             f"{Path(path).parent} does not exist")
     corpus = None
     if args.manifest:
         from .litmus.randgen import corpus_from_manifest

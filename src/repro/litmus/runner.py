@@ -20,10 +20,12 @@ sets bit-identical to a serial one.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..core.streams import DrainPolicy
+from ..obs.telemetry import current as _telemetry
 from ..sim.config import ConsistencyModel, SystemConfig, small_config
 from ..sim.multicore import MulticoreSystem
 from .dsl import LitmusTest
@@ -101,8 +103,13 @@ class TestRun:
 
 
 def run_test(test: LitmusTest, config: Optional[RunConfig] = None) -> TestRun:
-    """Run one test ``config.seeds`` times; collect distinct outcomes."""
+    """Run one test ``config.seeds`` times; collect distinct outcomes.
+
+    Each call is one pass, published as one ``litmus.run_test`` wall
+    span when telemetry is on (see :func:`_publish_pass`).
+    """
     config = config or RunConfig()
+    started = time.perf_counter()
     # One compile for the whole schedule: MulticoreSystem never mutates
     # the Program (it copies initial memory and only reads instructions).
     program = test.to_program()
@@ -110,6 +117,7 @@ def run_test(test: LitmusTest, config: Optional[RunConfig] = None) -> TestRun:
                      injected=config.inject_faults)
     fault_addrs = [test.location_addr(loc) for loc in test.locations]
     system_config = config.system_config(program.cores)
+    steps = 0
 
     for seed in derive_seeds(test.name, config.model, config.seeds):
         system = MulticoreSystem(
@@ -125,9 +133,26 @@ def run_test(test: LitmusTest, config: Optional[RunConfig] = None) -> TestRun:
         result.runs += 1
         result.imprecise_exceptions += run.stats.imprecise_exceptions
         result.precise_exceptions += run.stats.precise_exceptions
+        steps += run.stats.steps
         if not run.contract_report.ok:
             result.contract_violations += 1
+    _publish_pass(result, steps, started)
     return result
+
+
+def _publish_pass(result: TestRun, steps: int, started: float) -> None:
+    """Record one pass as a ``litmus.run_test`` span.
+
+    Called once per pass, never per run or step, so disabled telemetry
+    costs one global read per pass.
+    """
+    tel = _telemetry()
+    if not tel.enabled:
+        return
+    tel.record_span("litmus.run_test", started, time.perf_counter(),
+                    attrs={"model": result.model,
+                           "injected": result.injected,
+                           "seeds": result.runs, "steps": steps})
 
 
 def run_suite(tests: Sequence[LitmusTest],

@@ -45,6 +45,39 @@ WRITE_OPS = frozenset({Op.STORE, Op.AMOADD, Op.AMOSWAP})
 READ_OPS = frozenset({Op.LOAD, Op.AMOADD, Op.AMOSWAP})
 BRANCH_OPS = frozenset({Op.BEQ, Op.BNE})
 
+#: Classes of an in-flight (fetched, not yet executed) instruction, as
+#: bits of one mask.  ``Instruction.holds`` is the classes an
+#: instruction belongs to; ``Instruction.waits_on`` is the classes of
+#: older in-flight instructions that keep it from executing.
+IN_FLIGHT = 1     # every instruction
+WRITES = 2        # stores and atomics
+READS = 4         # loads and atomics
+ORDERS_LOADS = 8  # fences that order later loads: full, ll, sl
+
+
+class Gate:
+    """What an instruction checks beyond ``waits_on`` and its source
+    registers before it may execute (string constants)."""
+
+    NONE = "none"        # ALU, branch, nop; ss, ls and ll fences
+    LOAD = "load"        # PC/SC: no older read; WC: no older aliasing load
+    STORE = "store"      # a free store-buffer entry (always under SC)
+    DRAINED = "drained"  # atomic, full and sl fences: empty store buffer
+
+
+#: Fence kind -> (waits_on, extra holds, gate).
+_FENCE_GATING = {
+    FenceKind.FULL: (IN_FLIGHT, ORDERS_LOADS, Gate.DRAINED),
+    FenceKind.STORE_STORE: (WRITES, 0, Gate.NONE),
+    FenceKind.LOAD_STORE: (WRITES, 0, Gate.NONE),
+    FenceKind.STORE_LOAD: (WRITES, ORDERS_LOADS, Gate.DRAINED),
+    FenceKind.LOAD_LOAD: (READS, ORDERS_LOADS, Gate.NONE),
+}
+
+
+def _reg_bit(reg: Optional[int]) -> int:
+    return 1 << reg if reg else 0  # r0 is hard-wired: never a dependency
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -66,18 +99,45 @@ class Instruction:
     #: Free-form label; litmus postconditions reference result
     #: registers by this (e.g. "r1.0" meaning thread 1's obs 0).
     label: str = ""
+    # Decoded once in __post_init__, for the functional engine's gating
+    # scan; not compared, hashed or shown.
+    is_read: bool = field(init=False, compare=False, repr=False)
+    is_write: bool = field(init=False, compare=False, repr=False)
+    is_branch: bool = field(init=False, compare=False, repr=False)
+    gate: str = field(init=False, compare=False, repr=False)
+    holds: int = field(init=False, compare=False, repr=False)
+    waits_on: int = field(init=False, compare=False, repr=False)
+    #: Register masks: bit ``r`` set for each register read / written.
+    src_regs: int = field(init=False, compare=False, repr=False)
+    dst_regs: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        op = self.op
+        reads, writes = op in READ_OPS, op in WRITE_OPS
+        holds = (IN_FLIGHT | (READS if reads else 0)
+                 | (WRITES if writes else 0))
+        if op is Op.FENCE:
+            waits_on, orders, gate = _FENCE_GATING[self.fence]
+            holds |= orders
+        elif op is Op.LOAD:
+            waits_on, gate = WRITES | ORDERS_LOADS, Gate.LOAD
+        elif op is Op.STORE:
+            waits_on, gate = IN_FLIGHT, Gate.STORE
+        elif writes:  # atomics
+            waits_on, gate = IN_FLIGHT, Gate.DRAINED
+        else:
+            waits_on, gate = 0, Gate.NONE
+        decoded = {"is_read": reads, "is_write": writes,
+                   "is_branch": op in BRANCH_OPS, "gate": gate,
+                   "holds": holds, "waits_on": waits_on,
+                   "src_regs": _reg_bit(self.rs1) | _reg_bit(self.rs2),
+                   "dst_regs": _reg_bit(self.rd)}
+        for name, value in decoded.items():
+            object.__setattr__(self, name, value)
 
     @property
     def is_memory(self) -> bool:
         return self.op in MEMORY_OPS
-
-    @property
-    def is_write(self) -> bool:
-        return self.op in WRITE_OPS
-
-    @property
-    def is_read(self) -> bool:
-        return self.op in READ_OPS
 
     @property
     def is_atomic(self) -> bool:
@@ -86,10 +146,6 @@ class Instruction:
     @property
     def is_fence(self) -> bool:
         return self.op is Op.FENCE
-
-    @property
-    def is_branch(self) -> bool:
-        return self.op in BRANCH_OPS
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         if self.op is Op.FENCE:

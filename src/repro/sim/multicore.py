@@ -27,6 +27,9 @@ from the store buffer (or when the OS applies it from the FSB).
 The scheduler interleaves micro-actions — instruction executions,
 buffer drains, and OS-handler steps — uniformly at random, so OS
 activity races with other cores' accesses exactly as in Figure 2.
+Each core keeps its candidate actions up to date: gating reads only
+core-local state, so after a step only the core that stepped is
+rescanned (every core after a delivered interrupt).
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from __future__ import annotations
 import enum
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..core.contract import ContractChecker
@@ -44,7 +48,7 @@ from ..core.streams import DrainPolicy, DrainTarget, PendingStore, plan_drain
 from ..memmodel.events import FenceKind
 from .config import ConsistencyModel, SystemConfig, small_config
 from .devices.einject import EInject
-from .isa import Instruction, Op
+from .isa import READS, Gate, Instruction, Op
 from .mem.memory import FlatMemory
 from .program import Program
 
@@ -56,20 +60,24 @@ class CoreStatus(enum.Enum):
     DONE = "done"
 
 
-class SlotState(enum.Enum):
-    WAITING = "waiting"
-    DONE = "done"
+# Enum member lookup is slow on some Python versions; the scheduler's
+# hot paths compare against these aliases.
+_RUNNING, _SERVICING = CoreStatus.RUNNING, CoreStatus.SERVICING
 
 
-@dataclass
 class WindowSlot:
-    instr: Instruction
-    pc: int
-    state: SlotState = SlotState.WAITING
-    value: Optional[int] = None
+    """One fetched instruction, waiting until ``done``."""
+
+    __slots__ = ("instr", "pc", "done", "value")
+
+    def __init__(self, instr: Instruction, pc: int) -> None:
+        self.instr = instr
+        self.pc = pc
+        self.done = False
+        self.value: Optional[int] = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SbEntry:
     addr: int
     data: int
@@ -77,6 +85,7 @@ class SbEntry:
 
 
 _BARRIER = "barrier"  # store-buffer barrier marker (store-store fences)
+_ANY_ADDR = object()  # an in-flight WC load whose address is indexed
 
 
 @dataclass
@@ -105,6 +114,9 @@ class _Core:
         self.id = core_id
         cfg = system.config
         self.model = cfg.core.consistency
+        self._sc = self.model == ConsistencyModel.SC
+        self._fifo = self.model == ConsistencyModel.PC  # drain head only
+        self._wc = self.model == ConsistencyModel.WC
         self.window_capacity = max(2, cfg.core.width * 2)
         self.sb_capacity = cfg.core.store_buffer_entries
         self.regs: Dict[int, int] = {}
@@ -114,10 +126,18 @@ class _Core:
         self.status = CoreStatus.RUNNING
         self.pending_ops: Deque[Callable[[], None]] = deque()
         self.observations: Dict[str, int] = {}
-        self.interface = ArchitecturalInterface(
-            core_id, fsb_capacity=_fsb_capacity(cfg))
+        #: Scheduler candidates, ``(kind, core, arg)`` with ``kind`` one
+        #: of :meth:`execute`, :meth:`drain_one` or :meth:`run_op`.
+        self.actions: List[Tuple[Callable, "_Core", object]] = []
         self._sb_seq = 0
         self._program = system.program.threads[core_id].instructions
+        self._end = len(self._program)
+
+    @cached_property
+    def interface(self) -> ArchitecturalInterface:
+        """The FSB interface, built on the first imprecise exception."""
+        return ArchitecturalInterface(
+            self.id, fsb_capacity=_fsb_capacity(self.system.config))
 
     # ------------------------------------------------------------------
     # Register helpers
@@ -132,185 +152,143 @@ class _Core:
             self.regs[reg] = value
 
     # ------------------------------------------------------------------
-    # Fetch / retire
+    # Retire
     # ------------------------------------------------------------------
-    def fetch_fill(self) -> None:
-        if self.status is not CoreStatus.RUNNING:
-            return
-        while (len(self.window) < self.window_capacity
-               and self.pc < len(self._program)):
-            if any(s.instr.is_branch and s.state is SlotState.WAITING
-                   for s in self.window):
-                return  # no speculation past unresolved branches
-            self.window.append(WindowSlot(self._program[self.pc], self.pc))
-            self.pc += 1
-
     def retire_ready(self) -> None:
-        while self.window and self.window[0].state is SlotState.DONE:
-            slot = self.window.popleft()
+        window = self.window
+        while window and window[0].done:
+            slot = window.popleft()
             if slot.instr.label and slot.instr.is_read:
                 self.observations[slot.instr.label] = slot.value or 0
             self.system.stats.instructions_retired += 1
 
     @property
     def finished(self) -> bool:
-        return (self.status in (CoreStatus.DONE, CoreStatus.TERMINATED)
-                or (self.status is CoreStatus.RUNNING
-                    and self.pc >= len(self._program)
-                    and not self.window
-                    and not self.sb_entries()))
+        """Done or terminated, or running with nothing left to do."""
+        status = self.status
+        if status is _RUNNING:
+            return (not self.window and self.pc >= self._end
+                    and not self.sb_entries())
+        return status is not _SERVICING
 
-    # ------------------------------------------------------------------
-    # Gating rules
-    # ------------------------------------------------------------------
     def sb_entries(self) -> List[SbEntry]:
         return [e for e in self.sb if e is not _BARRIER]
 
-    def _older(self, slot: WindowSlot) -> List[WindowSlot]:
-        out = []
-        for s in self.window:
-            if s is slot:
-                break
-            out.append(s)
-        return out
+    # ------------------------------------------------------------------
+    # Gating: one forward pass per rescan
+    # ------------------------------------------------------------------
+    def rescan(self) -> None:
+        """Fetch, then rebuild :attr:`actions` in scheduler order:
+        executable window slots oldest first, then drainable
+        store-buffer indices (the head under PC, the first segment
+        under WC), or the next OS micro-op while servicing.
 
-    def _regs_ready(self, slot: WindowSlot) -> bool:
-        needed = {r for r in (slot.instr.rs1, slot.instr.rs2)
-                  if r not in (None, 0)}
-        if not needed:
-            return True
-        for s in self._older(slot):
-            rd = s.instr.rd
-            if rd in needed and s.state is not SlotState.DONE:
-                return False
-        return True
-
-    def _fence_blocks(self, slot: WindowSlot) -> bool:
-        """Does an incomplete older fence order this access?"""
-        for s in self._older(slot):
-            if s.state is SlotState.DONE or not s.instr.is_fence:
+        One forward walk over the window carries what the older
+        in-flight slots hold back — their ``holds`` classes, their
+        destination registers and, under WC, their load addresses — so
+        each slot is gated without revisiting its elders.
+        """
+        status = self.status
+        if status is not _RUNNING:
+            self.actions = ([(_Core.run_op, self, None)]
+                            if status is _SERVICING and self.pending_ops
+                            else [])
+            return
+        window, sb = self.window, self.sb
+        # In-order fetch with no speculation past an unresolved branch,
+        # which is always the youngest slot: fetch stops after one.
+        if not (window and window[-1].instr.is_branch
+                and not window[-1].done):
+            program, pc = self._program, self.pc
+            while len(window) < self.window_capacity and pc < self._end:
+                instr = program[pc]
+                window.append(WindowSlot(instr, pc))
+                pc += 1
+                if instr.is_branch:
+                    break
+            self.pc = pc
+        actions = self.actions = []
+        buffered = len(sb) - sb.count(_BARRIER) if sb else 0
+        wc = self._wc
+        held = regs = 0
+        loads = set() if wc else None  # addresses of in-flight WC loads
+        for slot in window:
+            if slot.done:
                 continue
-            kind = s.instr.fence
-            if kind is FenceKind.FULL:
-                return True
-            if slot.instr.is_read and kind in (FenceKind.LOAD_LOAD,
-                                               FenceKind.STORE_LOAD):
-                return True
-            if slot.instr.is_write and kind in (FenceKind.STORE_STORE,
-                                                FenceKind.LOAD_STORE):
-                return True
-        return False
+            instr = slot.instr
+            gate = instr.gate
+            if not (instr.waits_on & held or instr.src_regs & regs):
+                if gate is Gate.NONE:
+                    ready = True
+                elif gate is Gate.LOAD:
+                    ready = (not (loads and (
+                        instr.rs1 is not None or _ANY_ADDR in loads
+                        or instr.addr in loads))
+                        if wc else not held & READS)
+                elif gate is Gate.STORE:
+                    ready = self._sc or buffered < self.sb_capacity
+                else:
+                    ready = not buffered
+                if ready:
+                    actions.append((_Core.execute, self, slot))
+            held |= instr.holds
+            regs |= instr.dst_regs
+            if wc and gate is Gate.LOAD:
+                loads.add(_ANY_ADDR if instr.rs1 is not None else instr.addr)
+        self._drop_leading_barriers()
+        if sb:
+            if self._fifo:
+                actions.append((_Core.drain_one, self, 0))
+            else:
+                for index, entry in enumerate(sb):
+                    if entry is _BARRIER:
+                        break
+                    actions.append((_Core.drain_one, self, index))
 
-    def can_execute(self, slot: WindowSlot) -> bool:
-        if slot.state is not SlotState.WAITING:
-            return False
-        if not self._regs_ready(slot):
-            return False
-        instr = slot.instr
-        older = self._older(slot)
-
-        if instr.is_fence:
-            return self._fence_ready(instr, older)
-
-        if instr.is_atomic:
-            return (all(s.state is SlotState.DONE for s in older)
-                    and not self.sb_entries())
-
-        if instr.op is Op.STORE:
-            # In-order retirement into the store buffer.
-            if any(s.state is not SlotState.DONE for s in older):
-                return False
-            if self.model != ConsistencyModel.SC and \
-                    len(self.sb_entries()) >= self.sb_capacity:
-                return False
-            return True
-
-        if instr.op is Op.LOAD:
-            if self._fence_blocks(slot):
-                return False
-            for s in older:
-                if s.state is SlotState.DONE or s.instr.is_fence:
-                    continue  # incomplete fences already checked above
-                if s.instr.is_write or s.instr.is_atomic:
-                    return False  # loads wait for older stores to buffer
-                if s.instr.is_read and self.model != ConsistencyModel.WC:
-                    return False  # PC/SC: loads in order
-                if s.instr.is_read and self._may_alias(s.instr, slot.instr):
-                    return False  # WC coherence: same-location in order
-            return True
-
-        # ALU / branch / nop: regs-ready is enough.
-        return True
-
-    @staticmethod
-    def _may_alias(a: Instruction, b: Instruction) -> bool:
-        """Conservative same-address check before both are resolved."""
-        if a.rs1 is not None or b.rs1 is not None:
-            return True  # indexed address unknown at gating time
-        return a.addr == b.addr
-
-    def _fence_ready(self, instr: Instruction, older: List[WindowSlot]) -> bool:
-        kind = instr.fence
-        if kind is FenceKind.FULL:
-            return (all(s.state is SlotState.DONE for s in older)
-                    and not self.sb_entries())
-        if kind in (FenceKind.STORE_STORE, FenceKind.LOAD_STORE):
-            # Older stores must at least be buffered; barrier preserves
-            # the visibility order inside the buffer.
-            return all(
-                s.state is SlotState.DONE for s in older
-                if s.instr.is_write or s.instr.is_atomic)
-        if kind is FenceKind.STORE_LOAD:
-            return (all(s.state is SlotState.DONE for s in older
-                        if s.instr.is_write or s.instr.is_atomic)
-                    and not self.sb_entries())
-        # LOAD_LOAD
-        return all(s.state is SlotState.DONE for s in older
-                   if s.instr.is_read)
-
-    def executable_slots(self) -> List[WindowSlot]:
-        return [s for s in self.window if self.can_execute(s)]
+    def run_op(self, _arg=None) -> None:
+        """Run the next queued OS micro-op."""
+        self.pending_ops.popleft()()
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def execute(self, slot: WindowSlot) -> None:
         instr = slot.instr
-        if instr.op is Op.LI:
-            self.write_reg(instr.rd, instr.imm)
-        elif instr.op is Op.ADD:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.rs1) + self.read_reg(instr.rs2))
-        elif instr.op is Op.ADDI:
-            self.write_reg(instr.rd, self.read_reg(instr.rs1) + instr.imm)
-        elif instr.op is Op.XOR:
-            self.write_reg(instr.rd,
-                           self.read_reg(instr.rs1) ^ self.read_reg(instr.rs2))
-        elif instr.op is Op.NOP:
-            pass
-        elif instr.is_branch:
+        gate = instr.gate
+        if gate is Gate.LOAD:
+            self._execute_load(slot)
+            return  # the memory paths mark the slot done themselves
+        if gate is Gate.STORE:
+            self._execute_store(slot)
+            return
+        if instr.is_write:
+            self._execute_atomic(slot)
+            return
+        op = instr.op
+        if instr.is_branch:
             self._execute_branch(slot)
-        elif instr.is_fence:
+        elif op is Op.FENCE:
             if instr.fence in (FenceKind.STORE_STORE, FenceKind.LOAD_STORE):
                 if self.sb_entries():
                     self.sb.append(_BARRIER)
-        elif instr.op is Op.LOAD:
-            self._execute_load(slot)
-            return  # _execute_load sets state itself
-        elif instr.op is Op.STORE:
-            self._execute_store(slot)
-            return  # _execute_store sets state itself (fault path)
-        elif instr.is_atomic:
-            self._execute_atomic(slot)
-            return
-        slot.state = SlotState.DONE
+        elif op is Op.LI:
+            self.write_reg(instr.rd, instr.imm)
+        elif op is Op.ADD:
+            self.write_reg(instr.rd,
+                           self.read_reg(instr.rs1) + self.read_reg(instr.rs2))
+        elif op is Op.ADDI:
+            self.write_reg(instr.rd, self.read_reg(instr.rs1) + instr.imm)
+        elif op is Op.XOR:
+            self.write_reg(instr.rd,
+                           self.read_reg(instr.rs1) ^ self.read_reg(instr.rs2))
+        slot.done = True
 
     def _execute_branch(self, slot: WindowSlot) -> None:
         instr = slot.instr
         a, b = self.read_reg(instr.rs1), self.read_reg(instr.rs2)
         taken = (a == b) if instr.op is Op.BEQ else (a != b)
         if taken:
-            self.pc = min(len(self._program), self.pc + instr.imm)
+            self.pc = min(self._end, self.pc + instr.imm)
 
     def _effective_addr(self, instr: Instruction) -> int:
         base = instr.addr or 0
@@ -324,7 +302,7 @@ class _Core:
         if forwarded is not None:
             slot.value = forwarded
             self.write_reg(slot.instr.rd, forwarded)
-            slot.state = SlotState.DONE
+            slot.done = True
             self.system.stats.forwards += 1
             return
         if self.system.einject.is_faulting(addr):
@@ -333,11 +311,11 @@ class _Core:
         value = self.system.memory.read(addr)
         slot.value = value
         self.write_reg(slot.instr.rd, value)
-        slot.state = SlotState.DONE
+        slot.done = True
 
     def _forward(self, addr: int) -> Optional[int]:
-        for entry in reversed(self.sb_entries()):
-            if entry.addr == addr:
+        for entry in reversed(self.sb):
+            if entry is not _BARRIER and entry.addr == addr:
                 return entry.data
         return None
 
@@ -346,23 +324,23 @@ class _Core:
         addr = self._effective_addr(instr)
         data = (self.read_reg(instr.rs2) if instr.rs2 is not None
                 else instr.imm)
-        if self.model == ConsistencyModel.SC:
+        if self._sc:
             if self.system.einject.is_faulting(addr):
-                # Precise store fault: slot stays WAITING, re-executes
-                # after the handler resolves the page.
+                # Precise store fault: the slot stays not done and
+                # re-executes after the handler resolves the page.
                 self.system.begin_precise_fault(self, slot, addr,
                                                 is_write=True)
                 return
             self.system.memory.write(addr, data)
-            slot.state = SlotState.DONE
+            slot.done = True
             return
         self._sb_insert(addr, data)
-        slot.state = SlotState.DONE
+        slot.done = True
 
     def _sb_insert(self, addr: int, data: int) -> None:
         seq = self._sb_seq
         self._sb_seq += 1
-        if self.model == ConsistencyModel.WC:
+        if self._wc:
             # Coalesce into the open (post-barrier) segment.
             open_segment_start = 0
             for i in range(len(self.sb) - 1, -1, -1):
@@ -389,28 +367,11 @@ class _Core:
         self.system.memory.write(addr, new)
         slot.value = old
         self.write_reg(instr.rd, old)
-        slot.state = SlotState.DONE
+        slot.done = True
 
     # ------------------------------------------------------------------
     # Store-buffer drain
     # ------------------------------------------------------------------
-    def drainable_indices(self) -> List[int]:
-        """Indices eligible to drain: the whole first segment (WC) or
-        just the head (PC)."""
-        if not self.sb:
-            return []
-        if self.sb[0] is _BARRIER:
-            self.sb.pop(0)
-            return self.drainable_indices()
-        if self.model == ConsistencyModel.PC:
-            return [0]
-        end = len(self.sb)
-        for i, e in enumerate(self.sb):
-            if e is _BARRIER:
-                end = i
-                break
-        return list(range(end))
-
     def drain_one(self, index: int) -> None:
         entry = self.sb.pop(index)
         assert entry is not _BARRIER
@@ -593,7 +554,7 @@ class MulticoreSystem:
             self.einject.is_faulting(e.addr) for e in core.sb_entries())
         if faulting_in_sb:
             # Imprecise exceptions win; this instruction re-executes
-            # after RESOLVE (its slot stays WAITING through the flush).
+            # after RESOLVE (its slot stays not done through the flush).
             self.begin_imprecise_exception(core)
             return
 
@@ -623,39 +584,12 @@ class MulticoreSystem:
         core.pending_ops.extend([drain_all, resolve, resume])
 
     # ------------------------------------------------------------------
-    # Scheduler
-    # ------------------------------------------------------------------
-    def _actions(self) -> List[Callable[[], None]]:
-        actions: List[Callable[[], None]] = []
-        for core in self.cores:
-            if core.status is CoreStatus.SERVICING:
-                if core.pending_ops:
-                    actions.append(lambda c=core: c.pending_ops.popleft()())
-                continue
-            if core.status is not CoreStatus.RUNNING:
-                continue
-            if (not core.window and not core.sb
-                    and core.pc >= len(core._program)):
-                # Quiescent: program exhausted, nothing in flight.  It
-                # can contribute no actions, so skip the slot/drain
-                # scans — the action list (and hence the RNG stream)
-                # is unchanged.
-                continue
-            core.fetch_fill()
-            for slot in core.executable_slots():
-                actions.append(lambda c=core, s=slot: c.execute(s))
-            for index in core.drainable_indices():
-                actions.append(lambda c=core, i=index: c.drain_one(i))
-        return actions
-
-    # ------------------------------------------------------------------
     # Interrupts (§5.3: concurrent with imprecise store exceptions)
     # ------------------------------------------------------------------
-    def _maybe_deliver_interrupt(self) -> None:
-        if self.interrupt_rate <= 0.0:
-            return
+    def _maybe_deliver_interrupt(self) -> bool:
+        """Draw for an interrupt; True when one was delivered."""
         if self.rng.random() >= self.interrupt_rate:
-            return
+            return False
         candidates = [c for c in self.cores
                       if c.status is CoreStatus.RUNNING
                       and not c.finished]
@@ -666,7 +600,7 @@ class MulticoreSystem:
                 # IE bit set: the interrupt is deferred, not lost to
                 # the running handler (§5.3's serialisation).
                 self.stats.interrupts_deferred += 1
-            return
+            return False
         core = self.rng.choice(candidates)
         self.stats.interrupts += 1
         core.status = CoreStatus.SERVICING
@@ -677,33 +611,47 @@ class MulticoreSystem:
         def resume() -> None:
             core.status = CoreStatus.RUNNING
         core.pending_ops.extend([handler_body, handler_body, resume])
-
-    def step(self) -> bool:
-        for core in self.cores:
-            core.retire_ready()
-        self._maybe_deliver_interrupt()
-        actions = self._actions()
-        if not actions:
-            return False
-        self.rng.choice(actions)()
-        self.stats.steps += 1
         return True
 
+    # ------------------------------------------------------------------
+    # Scheduler
+    # ------------------------------------------------------------------
     def run(self, max_steps: int = 200_000) -> "RunResult":
+        """Step until every core has finished.
+
+        Each step: an interrupt draw (when ``interrupt_rate`` > 0),
+        then one ``rng.choice`` over every core's candidates
+        concatenated in core order.  A core's candidates change only
+        when it steps or takes an interrupt, so only that core is
+        retired and rescanned; the others' lists stay valid.
+        """
+        cores = self.cores
+        choice = self.rng.choice
+        stats = self.stats
+        interrupts = self.interrupt_rate > 0.0
+        live = sum(not core.finished for core in cores)
+        stale = cores
         steps = 0
-        while True:
-            for core in self.cores:
-                core.retire_ready()
-            if all(core.finished for core in self.cores):
-                break
-            progressed = self.step()
-            if not progressed:
-                if all(core.finished for core in self.cores):
-                    break
+        while live:
+            if interrupts and self._maybe_deliver_interrupt():
+                stale = cores
+            for core in stale:
+                core.rescan()
+            actions: List = []
+            for core in cores:
+                actions += core.actions
+            if not actions:
                 raise DeadlockError(
                     f"no runnable actions; statuses="
-                    f"{[c.status for c in self.cores]}, "
-                    f"sb={[len(c.sb) for c in self.cores]}")
+                    f"{[c.status for c in cores]}, "
+                    f"sb={[len(c.sb) for c in cores]}")
+            kind, core, arg = choice(actions)
+            kind(core, arg)
+            stats.steps += 1
+            core.retire_ready()
+            if core.finished:
+                live -= 1
+            stale = (core,)
             steps += 1
             if steps > max_steps:
                 raise DeadlockError(f"exceeded {max_steps} steps")

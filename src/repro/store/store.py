@@ -101,6 +101,8 @@ class VerdictStore:
         self.allowed_hits = 0
         self.allowed_misses = 0
         self.puts = 0
+        #: Puts since the store was opened or last saved.
+        self._unsaved = 0
         self._load()
 
     # ------------------------------------------------------------------
@@ -219,6 +221,7 @@ class VerdictStore:
         if record.fingerprint:
             self._allowed_blobs[record.test_digest] = blob
         self.puts += 1
+        self._unsaved += 1
         _telemetry().counter("store.puts").inc()
         return blob
 
@@ -280,8 +283,12 @@ class VerdictStore:
         resolves to the lexicographically largest blob hash — an
         arbitrary but *commutative* rule, so any save order converges
         on the same index.  Runs under an advisory lock so concurrent
-        savers serialise their read-merge-replace cycles.
+        savers serialise their read-merge-replace cycles.  A store with
+        nothing put since it was opened or last saved has nothing to
+        merge, and leaves the index untouched.
         """
+        if not self._unsaved:
+            return
         with _file_lock(self.root / ".lock"):
             with _telemetry().span("store.save", path=str(self.root)):
                 on_disk = self._read_index(self.index_path)
@@ -297,6 +304,7 @@ class VerdictStore:
                 self._verdicts = merged_v
                 self._allowed = merged_a
                 self._rebuild_secondary()
+                self._unsaved = 0
 
     @staticmethod
     def _merge(theirs: Dict[str, Dict],

@@ -2,6 +2,7 @@
 allowed-set cache, and the dual clean+injected harness pass."""
 
 import json
+import os
 
 import pytest
 
@@ -420,6 +421,23 @@ class TestCliCampaignFlags:
         for a, b in zip(first["results"], second["results"]):
             assert a["ok"] == b["ok"]
             assert a["injected"] == b["injected"]
+
+    def test_warm_incremental_rerun_leaves_index_unwritten(self,
+                                                           tmp_path):
+        from repro.cli import main
+        store = tmp_path / "store"
+        argv = ["litmus", "--quick", "--seeds", "2", "--skip-clean",
+                "--store", str(store), "--incremental"]
+        assert main(argv) == 0
+        index = store / "index.json"
+        # Backdate it, so that a rewrite shows on any clock granularity.
+        os.utime(index, ns=(10 ** 18, 10 ** 18))
+        before, content = index.stat(), index.read_bytes()
+        assert main(argv) == 0
+        after = index.stat()
+        assert index.read_bytes() == content
+        assert after.st_mtime_ns == before.st_mtime_ns
+        assert after.st_ino == before.st_ino  # saves replace the file
 
     def test_incremental_requires_store(self):
         from repro.cli import main

@@ -71,6 +71,22 @@ class TestCommands:
             allowed = {tuple(map(tuple, o)) for o in model[name]}
             assert {tuple(map(tuple, o)) for o in observed} <= allowed
 
+    @pytest.mark.parametrize("flag, name", [("--json", "report.json"),
+                                            ("--save-log", "campaign")])
+    def test_missing_output_dir_fails_before_campaign(
+            self, flag, name, tmp_path, monkeypatch):
+        import repro.litmus
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("campaign ran before the output check")
+        monkeypatch.setattr(repro.litmus, "check_suite", no_campaign)
+        target = tmp_path / "missing" / name
+        with pytest.raises(SystemExit) as exc:
+            main(["litmus", "--quick", "--seeds", "1", flag, str(target)])
+        message = str(exc.value)
+        assert message.startswith(f"litmus: {flag} ")
+        assert "missing" in message and "\n" not in message
+
 
 class TestExploreCommand:
     def test_explore_named_tests(self, capsys):

@@ -2,6 +2,7 @@
 subsystem counters vs their legacy stats, the campaign event bus, the
 v5 report schema, and the profile/stats CLI pair."""
 
+import gc
 import json
 
 import pytest
@@ -197,6 +198,52 @@ class TestCampaignEventBus:
         report = run_campaign(_suite(), RunConfig(seeds=2),
                               cache=AllowedSetCache())
         assert report.telemetry is None
+
+
+def _covered(parent, spans):
+    """Seconds of ``parent`` covered by the union of the spans nested
+    in it on its lane."""
+    start, end = parent["ts"], parent["ts"] + parent["dur"]
+    intervals = sorted(
+        (s["ts"], s["ts"] + s["dur"]) for s in spans
+        if s is not parent and s["lane"] == parent["lane"]
+        and start <= s["ts"] and s["ts"] + s["dur"] <= end)
+    covered, reach = 0.0, start
+    for lo, hi in intervals:
+        lo = max(lo, reach)
+        if hi > lo:
+            covered += hi - lo
+            reach = hi
+    return covered
+
+
+class TestCampaignSpanCoverage:
+    def test_nested_spans_cover_campaign_test(self):
+        """Under the default §6.3 config (PC, 20 seeds, injected and
+        clean passes), the engine passes and the enumeration nested in
+        each ``campaign.test`` account for >= 95% of its total."""
+        # A collector pause of the whole test process landing between
+        # two spans would be billed to no layer; keep it out.
+        gc.collect()
+        gc.disable()
+        try:
+            _, _, records = _capture(run_campaign, all_library_tests(),
+                                     RunConfig(), cache=AllowedSetCache())
+        finally:
+            gc.enable()
+        spans = [r for r in records if r["type"] == "span"]
+        tests = [s for s in spans if s["name"] == "campaign.test"]
+        assert len(tests) == len(all_library_tests())
+        passes = [s for s in spans if s["name"] == "litmus.run_test"]
+        assert len(passes) == 2 * len(tests)
+        assert {(s["attrs"]["model"], s["attrs"]["injected"],
+                 s["attrs"]["seeds"]) for s in passes} == {
+            ("PC", True, 20), ("PC", False, 20)}
+        assert all(s["attrs"]["steps"] > 0 for s in passes)
+        total = sum(s["dur"] for s in tests)
+        covered = sum(_covered(s, spans) for s in tests)
+        assert covered >= 0.95 * total, (
+            f"nested spans cover {covered / total:.1%} of campaign.test")
 
 
 class TestReportSchemaV7:
